@@ -2,10 +2,10 @@
 // §5.15).
 //
 // Two tiers of benchmark:
-//  * function-level (BM_Mixed*, BM_Estimate*, BM_Solve*) — the fleet request
-//    path the server runs per line (command parse, registry lookup, handle
-//    grab, estimate/solve/stats), driving handle_fleet_request directly with
-//    no sockets in the way;
+//  * function-level (BM_Mixed*, BM_Estimate*, BM_Solve*, BM_IngestLine) — the
+//    fleet request path the server runs per line (command parse, registry
+//    lookup, handle grab, estimate/solve/stats, edge admission), driving
+//    handle_fleet_request directly with no sockets in the way;
 //  * socket-level (BM_Socket*) — the full epoll-reactor path over real
 //    loopback TCP: serial round trips (the unbatched baseline), pipelined
 //    writes whose same-tenant runs coalesce through execute_fleet_batch, and
@@ -129,10 +129,13 @@ void drive(benchmark::State& state, SketchFleet& fleet,
 }
 
 /// The headline number: mixed traffic during live ingest. A background
-/// thread feeds one tenant continuously (its sketch is saturated, so the
-/// admission filter rejects most edges — steady realistic write pressure,
-/// not a memcpy storm), while the measured thread runs the mixed schedule
-/// against all tenants.
+/// thread feeds one tenant continuously in 512-edge batches (its sketch is
+/// saturated, so the admission filter rejects most edges), while the
+/// measured thread runs the mixed schedule against all tenants. Ingest only
+/// admits; handles are published on demand (DESIGN.md §5.12), so the
+/// measured thread's first read of the written tenant after each batch
+/// waits for that batch and makes the one copy of its sketch. That copy is
+/// this family's p99; reads of the other tenants are pointer grabs.
 void BM_MixedDuringLiveIngest(benchmark::State& state) {
   SketchFleet fleet({});
   populate(fleet);
@@ -149,6 +152,55 @@ void BM_MixedDuringLiveIngest(benchmark::State& state) {
   drive(state, fleet, requests);
   stop.store(true, std::memory_order_relaxed);
   ingester.join();
+}
+
+/// Wire ingest at one sketch size: 16-pair `ingest` lines (the wire_ingest
+/// line) through the request path the server runs per line — parse, registry
+/// lookup, admission — into one saturated tenant over `n` sets, created
+/// with the wire_ingest shape (k=20, eps=0.15). A quarter of the elements
+/// come from a hot pool of 100n ids, the rest are fresh, so most pairs take
+/// the saturated sketch's reject path. No read runs, so nothing publishes:
+/// the cost per line is parse + admit, whatever the sketch size.
+void BM_IngestLine(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  SketchFleet fleet({});
+  const std::string tenant = "ingest" + std::to_string(n);
+  bool shutdown = false;
+  COVSTREAM_CHECK(handle_fleet_request(fleet,
+                                       "create " + tenant + " " +
+                                           std::to_string(n) + " 20 0.15 11",
+                                       &shutdown) == "ok created " + tenant);
+  Rng rng(0x16E + n);
+  const std::uint64_t hot = 100 * n;
+  const auto next_edge = [&] {
+    const SetId set = static_cast<SetId>(rng.next_below(n));
+    const std::uint64_t elem = rng.next_below(std::uint64_t{4}) == 0
+                                   ? rng.next_below(hot)
+                                   : hot + (rng.next() >> 24);
+    return Edge{set, elem};
+  };
+  // Four times the edge budget: the tenant is saturated before timing.
+  std::string error;
+  const std::size_t budget =
+      fleet.handle(tenant, &error)->params().edge_budget();
+  std::vector<Edge> prefill(4 * budget);
+  for (Edge& edge : prefill) edge = next_edge();
+  COVSTREAM_CHECK(fleet.ingest(tenant, prefill, &error));
+
+  std::vector<std::string> lines;
+  lines.reserve(4096);
+  for (int j = 0; j < 4096; ++j) {
+    std::string line = "ingest " + tenant;
+    for (int i = 0; i < 16; ++i) {
+      const Edge edge = next_edge();
+      line += ' ';
+      line += std::to_string(edge.set);
+      line += ' ';
+      line += std::to_string(edge.elem);
+    }
+    lines.push_back(std::move(line));
+  }
+  drive(state, fleet, lines);
 }
 
 /// Pure read path: the estimate fast path (handle grab + coverage merge),
@@ -343,6 +395,11 @@ void BM_SocketPipelinedManyIdle(benchmark::State& state) {
 BENCHMARK(BM_MixedDuringLiveIngest)->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_EstimateOnly)->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_SolveWarmCache)->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_IngestLine)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 // Socket benchmarks block in read(); real time is the only meaningful rate.
 BENCHMARK(BM_SocketSerial)->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(BM_SocketPipelined)->Unit(benchmark::kMicrosecond)->UseRealTime();

@@ -424,8 +424,8 @@ FleetBatchResult execute_fleet_batch(SketchFleet& fleet,
     }
 
     // Same-tenant ingest run: the edges of every member fold into ONE
-    // update_chunk admission batch (one reload check, one publish, one
-    // version bump — PROTOCOL.md documents the per-admitted-batch version
+    // update_chunk admission batch (one reload check, one version bump, no
+    // copy — PROTOCOL.md documents the per-admitted-batch version
     // semantics), feeding the chunk-shaped AVX2 admit kernels their
     // preferred large chunks. Responses stay one `ok ingested <n>` per
     // line with that line's own edge count.

@@ -197,7 +197,6 @@ void SketchFleet::boot_scan() {
       } else {
         // Listed but never flushed: its durable state IS empty-at-params.
         tenant->live.emplace(entry.params);
-        publish(*tenant);
         ++boot_report_.recreated_empty;
       }
       {
@@ -235,7 +234,6 @@ void SketchFleet::boot_scan() {
       tenant->version = 1;
       tenant->durable_version = 1;
       tenant->live.emplace(std::move(*loaded));
-      publish(*tenant);
       {
         const std::lock_guard<std::mutex> lock(registry_mutex_);
         tenants_.emplace(*name, tenant);
@@ -406,7 +404,7 @@ void SketchFleet::reaccount(Tenant& tenant) {
   std::size_t words = 0;
   if (tenant.live.has_value()) words += tenant.live->space_words();
   // Safe to read without handle_mutex: every handle writer holds work, which
-  // the caller holds.
+  // the caller holds. A stale tenant has no handle, so only live counts.
   if (tenant.handle != nullptr) words += tenant.handle->space_words();
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   resident_words_ += words;
@@ -451,7 +449,6 @@ bool SketchFleet::reload(Tenant& tenant, std::string* error) {
   tenant.live.emplace(std::move(*loaded));
   tenant.durable_version = tenant.version;  // live == disk right now
   tenant.resident.store(true, std::memory_order_relaxed);
-  publish(tenant);
   reaccount(tenant);
   {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
@@ -543,7 +540,6 @@ bool SketchFleet::create(const std::string& name, const SketchParams& params,
   }
   tenant->live.emplace(params);
   tenant->version = 1;
-  publish(*tenant);
   {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
     if (!tenants_.try_emplace(name, tenant).second) {
@@ -592,7 +588,6 @@ bool SketchFleet::adopt(const std::string& name, SubsampleSketch&& sketch,
   tenant->live.emplace(std::move(sketch));
   tenant->version = 1;
   tenant->edges_ingested = edges_ingested;
-  publish(*tenant);
   {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
     if (!tenants_.try_emplace(name, tenant).second) {
@@ -626,6 +621,8 @@ bool SketchFleet::ingest(const std::string& name, std::span<const Edge> edges,
   if (refuse_if_degraded(error)) return false;
   const std::shared_ptr<Tenant> tenant = find(name, error);
   if (tenant == nullptr) return false;
+  // The stale handle is released after the locks drop, not under work.
+  std::shared_ptr<const SubsampleSketch> stale;
   {
     const std::lock_guard<std::mutex> work(tenant->work);
     if (!tenant->resident.load(std::memory_order_relaxed) &&
@@ -635,41 +632,52 @@ bool SketchFleet::ingest(const std::string& name, std::span<const Edge> edges,
     tenant->live->update_chunk(edges);
     tenant->edges_ingested += edges.size();
     ++tenant->version;
-    publish(*tenant);
+    {
+      const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
+      stale = std::move(tenant->handle);
+    }
     reaccount(*tenant);
   }
   enforce_budget(tenant.get());
   return true;
 }
 
+std::shared_ptr<const SubsampleSketch> SketchFleet::acquire(
+    Tenant& tenant, std::uint64_t* version, std::string* error) {
+  {
+    // Fast path: a clean tenant's handle is a pointer copy; work untouched.
+    const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
+    if (tenant.handle != nullptr) {
+      if (version != nullptr) *version = tenant.published_version;
+      return tenant.handle;
+    }
+  }
+  // Stale or evicted: reload and/or make the one copy under work. What we
+  // capture stays alive even if the arbiter re-spills the tenant after.
+  std::shared_ptr<const SubsampleSketch> sketch;
+  {
+    const std::lock_guard<std::mutex> work(tenant.work);
+    if (!tenant.resident.load(std::memory_order_relaxed) &&
+        !reload(tenant, error)) {
+      return nullptr;
+    }
+    if (tenant.handle == nullptr) {
+      publish(tenant);
+      reaccount(tenant);
+    }
+    // Every handle writer holds work, so reading here needs no handle_mutex.
+    sketch = tenant.handle;
+    if (version != nullptr) *version = tenant.published_version;
+  }
+  enforce_budget(&tenant);
+  return sketch;
+}
+
 std::shared_ptr<const SubsampleSketch> SketchFleet::handle(
     const std::string& name, std::string* error) {
   const std::shared_ptr<Tenant> tenant = find(name, error);
   if (tenant == nullptr) return nullptr;
-  // Between our reload and the re-grab, another thread's budget arbiter can
-  // spill this tenant again (it holds no lock of ours). Retry: find() just
-  // refreshed our LRU tick, so this tenant is the arbiter's LAST choice and
-  // the race closes almost immediately; the bound turns a pathological
-  // evict storm into an error instead of a livelock.
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    {
-      // Fast path: a resident tenant hands its handle out lock-free from the
-      // admit path's perspective (pointer copy only).
-      const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
-      if (tenant->handle != nullptr) return tenant->handle;
-    }
-    // Evicted: reload under work, then loop to re-grab.
-    {
-      const std::lock_guard<std::mutex> work(tenant->work);
-      if (!tenant->resident.load(std::memory_order_relaxed) &&
-          !reload(*tenant, error)) {
-        return nullptr;
-      }
-    }
-    enforce_budget(tenant.get());
-  }
-  set_error(error, "tenant '" + name + "' kept being evicted mid-read");
-  return nullptr;
+  return acquire(*tenant, nullptr, error);
 }
 
 std::optional<double> SketchFleet::estimate(const std::string& name,
@@ -692,9 +700,9 @@ bool SketchFleet::estimate_batch(const std::string& name,
                                  std::vector<EstimateOutcome>* out,
                                  std::string* error) {
   out->clear();
-  // One handle grab for the whole run: the reload-if-evicted check and the
-  // handle_mutex pointer copy amortize over every family, and all members
-  // answer from the same immutable published version.
+  // One handle grab for the whole run: the reload-if-evicted check, the
+  // publish-if-stale copy and the handle_mutex pointer copy amortize over
+  // every family, and all members answer from the same published version.
   const std::shared_ptr<const SubsampleSketch> sketch = handle(name, error);
   if (sketch == nullptr) return false;
   out->reserve(families.size());
@@ -731,30 +739,16 @@ std::optional<KCoverResult> SketchFleet::solve(const std::string& name,
   }
   const std::shared_ptr<Tenant> tenant = find(name, error);
   if (tenant == nullptr) return std::nullopt;
-  // Make sure a handle exists (reloads if evicted); the cache keys off the
-  // published version. A concurrent evict can null the handle between the
-  // reload and solve_cached's grab — retry, bounded so a pathological evict
-  // storm degrades to an error instead of a livelock.
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    if (handle(name, error) == nullptr) return std::nullopt;
-    std::optional<KCoverResult> result = solve_cached(name, tenant, k);
-    if (result.has_value()) return result;
-  }
-  set_error(error, "tenant '" + name + "' kept being evicted mid-solve");
-  return std::nullopt;
+  std::uint64_t version = 0;
+  std::shared_ptr<const SubsampleSketch> sketch =
+      acquire(*tenant, &version, error);
+  if (sketch == nullptr) return std::nullopt;
+  return solve_cached(name, std::move(sketch), version, k);
 }
 
-std::optional<KCoverResult> SketchFleet::solve_cached(
-    const std::string& name, const std::shared_ptr<Tenant>& tenant,
-    std::uint32_t k) {
-  std::shared_ptr<const SubsampleSketch> sketch;
-  std::uint64_t version = 0;
-  {
-    const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
-    sketch = tenant->handle;
-    version = tenant->published_version;
-  }
-  if (sketch == nullptr) return std::nullopt;  // dropped or re-evicted; rare
+KCoverResult SketchFleet::solve_cached(
+    const std::string& name, std::shared_ptr<const SubsampleSketch> sketch,
+    std::uint64_t version, std::uint32_t k) {
   const std::string key = name + "@" + std::to_string(version);
   std::shared_ptr<SolveEntry> entry;
   {

@@ -5,12 +5,12 @@
 // them viable: thousands of live tenants fit one machine as long as somebody
 // arbitrates the total. SketchFleet is that somebody:
 //
-//   * every tenant is a named sketch with the SketchServer publication
-//     discipline — a live sketch mutated only under the tenant's work mutex,
-//     and an immutable shared_ptr<const SubsampleSketch> handle republished
-//     after every ingest batch. Reads (estimate) grab the handle under a
-//     pointer-swap-only mutex and compute outside all locks, so estimates
-//     never block admits and never observe a mutating sketch;
+//   * every tenant is a named sketch: a live sketch mutated only under the
+//     tenant's work mutex, and an immutable shared_ptr<const SubsampleSketch>
+//     handle published on demand — ingest only admits and drops the stale
+//     handle, the first read after a write makes the one copy later reads
+//     share. Reads compute outside all locks on a sketch nothing mutates; a
+//     read of a written tenant waits for the in-flight batch plus that copy;
 //   * a fleet-wide memory budget (Options::memory_budget_words) is enforced
 //     after every footprint-growing operation: while over budget, the
 //     least-recently-used resident tenant is evicted — serialized to a
@@ -58,7 +58,7 @@ class SketchFleet {
  public:
   struct Options {
     /// Total resident sketch footprint allowed across tenants, in 8-byte
-    /// words (live sketch + published handle per resident tenant). 0 means
+    /// words (live sketch, plus the published handle while clean). 0 means
     /// unlimited — no eviction ever happens.
     std::size_t memory_budget_words = 0;
     /// Directory for eviction spill files (created on demand). Required when
@@ -96,8 +96,8 @@ class SketchFleet {
   bool adopt(const std::string& name, SubsampleSketch&& sketch,
              std::uint64_t edges_ingested, std::string* error);
 
-  /// Applies one edge batch to the tenant's live sketch and republishes its
-  /// immutable handle (version + 1). Reloads an evicted tenant first.
+  /// Applies one edge batch to the tenant's live sketch (version + 1) and
+  /// drops its stale handle — the next read publishes. Reloads if evicted.
   bool ingest(const std::string& name, std::span<const Edge> edges,
               std::string* error);
 
@@ -145,7 +145,7 @@ class SketchFleet {
   /// entries, and deleting its spill file.
   bool drop(const std::string& name, std::string* error);
 
-  /// The tenant's current published handle (reloads if evicted); null +
+  /// The tenant's handle, published if stale (reloads if evicted); null +
   /// *error on unknown tenants. Exposed for embedding and the equality tests.
   std::shared_ptr<const SubsampleSketch> handle(const std::string& name,
                                                 std::string* error);
@@ -209,7 +209,7 @@ class SketchFleet {
     SketchParams params;
     std::string spill_path;
 
-    // work: serializes ingest / evict / reload / save / solve-handle-grab.
+    // work: serializes ingest / evict / reload / publish.
     std::mutex work;
     std::optional<SubsampleSketch> live;
     std::uint64_t version = 0;
@@ -223,8 +223,8 @@ class SketchFleet {
     // Written under work; atomic so the eviction scan can read it lock-free.
     std::atomic<bool> resident{true};
 
-    // handle_mutex: pointer swap only — the estimate fast path takes nothing
-    // else. published_version is the version the handle was published at.
+    // handle_mutex: pointer swap only (the read fast path). A null handle
+    // while resident means stale; published_version is the handle's version.
     std::mutex handle_mutex;
     std::shared_ptr<const SubsampleSketch> handle;
     std::uint64_t published_version = 0;
@@ -246,6 +246,10 @@ class SketchFleet {
   std::shared_ptr<Tenant> find(const std::string& name, std::string* error);
   /// Publishes a fresh immutable copy of `tenant->live` (work held).
   void publish(Tenant& tenant);
+  /// Every read's handle: reloads if evicted, publishes if stale (takes work;
+  /// no lock held on entry). *version, if set, gets its published version.
+  std::shared_ptr<const SubsampleSketch> acquire(
+      Tenant& tenant, std::uint64_t* version, std::string* error);
   /// Reloads an evicted tenant from its spill file (work held).
   bool reload(Tenant& tenant, std::string* error);
   /// Serializes + frees a resident tenant (work held). False on I/O failure
@@ -258,9 +262,9 @@ class SketchFleet {
   /// Must be called with NO tenant work mutex held.
   void enforce_budget(const Tenant* exclude);
 
-  std::optional<KCoverResult> solve_cached(
-      const std::string& name, const std::shared_ptr<Tenant>& tenant,
-      std::uint32_t k);
+  KCoverResult solve_cached(const std::string& name,
+                            std::shared_ptr<const SubsampleSketch> sketch,
+                            std::uint64_t version, std::uint32_t k);
   void forget_solver_entries(const std::string& name);
 
   std::string spill_path_for(const std::string& name) const;

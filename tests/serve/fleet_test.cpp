@@ -12,9 +12,14 @@
 //    tenant mid-operation) and the fleet keeps answering correctly;
 //  * the (tenant, version) solver cache reuses warm entries within a version
 //    and rebuilds across versions, without changing any answer;
+//  * publication is deferred: ingest copies nothing and the arbiter counts
+//    only the live sketch of a written tenant, the first read after a write
+//    publishes one copy that later reads share, and a handle taken earlier
+//    keeps its bytes;
 //  * N client threads of create/ingest/estimate/solve/evict churn are safe
 //    (the TSan CI leg runs this suite) and deterministic per tenant when each
-//    tenant has one writer.
+//    tenant has one writer — including a read of a tenant right after its
+//    writer's ingest, which must see that ingest.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -277,6 +282,53 @@ TEST(Fleet, SolverCacheReusesWithinVersionAndRebuildsAcrossVersions) {
   }
 }
 
+TEST(Fleet, IngestDefersPublishToFirstRead) {
+  SketchFleet fleet({});
+  std::string error;
+  ASSERT_TRUE(fleet.create("lazy", fleet_params(), &error)) << error;
+  SubsampleSketch twin(fleet_params());
+
+  const std::vector<Edge> first = make_edges(12000, 0x1A2E);
+  ASSERT_TRUE(fleet.ingest("lazy", first, &error)) << error;
+  twin.update_chunk(first);
+  std::optional<SketchFleet::TenantStats> stats = fleet.tenant_stats("lazy");
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->version, 2u);
+  // A written tenant holds no published copy: only the live sketch counts.
+  EXPECT_EQ(stats->space_words, twin.space_words());
+
+  const std::shared_ptr<const SubsampleSketch> before =
+      fleet.handle("lazy", &error);
+  ASSERT_NE(before, nullptr) << error;
+  EXPECT_EQ(to_bytes(*before), to_bytes(twin));
+  // The read published one copy; reads with no write between them share it.
+  EXPECT_EQ(fleet.handle("lazy", &error), before);
+  stats = fleet.tenant_stats("lazy");
+  EXPECT_EQ(stats->space_words, twin.space_words() + before->space_words());
+  const std::vector<std::uint8_t> before_bytes = to_bytes(*before);
+
+  const std::vector<Edge> second = make_edges(12000, 0x2B3C);
+  ASSERT_TRUE(fleet.ingest("lazy", second, &error)) << error;
+  ASSERT_TRUE(fleet.ingest("lazy", {}, &error)) << error;
+  twin.update_chunk(second);
+  stats = fleet.tenant_stats("lazy");
+  EXPECT_EQ(stats->version, 4u);  // once per ingest call, empty ones too
+  EXPECT_EQ(stats->space_words, twin.space_words());
+  // The handle taken before the writes is immutable.
+  EXPECT_EQ(to_bytes(*before), before_bytes);
+
+  const std::shared_ptr<const SubsampleSketch> after =
+      fleet.handle("lazy", &error);
+  ASSERT_NE(after, nullptr) << error;
+  EXPECT_NE(after, before);
+  EXPECT_EQ(to_bytes(*after), to_bytes(twin));
+  const std::vector<SetId> family = {0, 6, 19, 31, 47};
+  const std::optional<double> estimate = fleet.estimate("lazy", family, &error);
+  ASSERT_TRUE(estimate.has_value()) << error;
+  EXPECT_EQ(*estimate, twin.estimate_coverage(family));
+  EXPECT_EQ(fleet.handle("lazy", &error), after);
+}
+
 TEST(Fleet, DropRemovesTenantAndSpillFile) {
   SketchFleet::Options options;
   options.spill_dir = temp_spill_dir("drop");
@@ -305,7 +357,10 @@ TEST(Fleet, ConcurrentChurnIsSafeAndPerTenantDeterministic) {
   // this exercises every cross-tenant path at once: reload-under-estimate,
   // eviction racing ingest (skipped via try_lock), solver-cache churn. Run
   // under the TSan CI leg. Because each tenant has exactly one writer, its
-  // final state must equal a serial reference over that thread's edges.
+  // final state must equal a serial reference over that thread's edges, and
+  // so must every estimate a thread makes of its own tenant right after its
+  // ingest: a read after a write sees that write, whatever the arbiter did
+  // in between.
   constexpr int kThreads = 4;
   constexpr int kRounds = 60;
   SketchFleet::Options options;
@@ -323,19 +378,28 @@ TEST(Fleet, ConcurrentChurnIsSafeAndPerTenantDeterministic) {
   }
 
   std::atomic<int> failures{0};
+  std::atomic<int> stale_reads{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const std::string mine = "worker" + std::to_string(t);
       const std::vector<Edge>& edges = per_tenant_edges[static_cast<std::size_t>(t)];
+      SubsampleSketch prefix(fleet_params());
       std::string error;
       for (int round = 0; round < kRounds; ++round) {
         const std::span<const Edge> chunk(
             edges.data() + static_cast<std::size_t>(round) * 200, 200);
         if (!fleet.ingest(mine, chunk, &error)) ++failures;
+        prefix.update_chunk(chunk);
+        const std::vector<SetId> family = {1, 5, 17};
+        const std::optional<double> own = fleet.estimate(mine, family, &error);
+        if (!own.has_value()) {
+          ++failures;
+        } else if (*own != prefix.estimate_coverage(family)) {
+          ++stale_reads;
+        }
         const std::string other =
             "worker" + std::to_string((t + round) % kThreads);
-        const std::vector<SetId> family = {1, 5, 17};
         if (!fleet.estimate(other, family, &error).has_value()) ++failures;
         if (round % 5 == 0) {
           if (!fleet.solve(other, 3, &error).has_value()) ++failures;
@@ -348,6 +412,7 @@ TEST(Fleet, ConcurrentChurnIsSafeAndPerTenantDeterministic) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(stale_reads.load(), 0);
 
   const SketchFleet::FleetStats stats = fleet.stats();
   EXPECT_GT(stats.evictions, 0u);
