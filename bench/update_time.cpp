@@ -698,10 +698,12 @@ BENCHMARK(BM_HierarchicalMerge)->Arg(4)->Arg(16);
 // Serialization throughput of the persistence layer (DESIGN.md §5.9): how
 // fast a saturated sketch turns into its wire image and back. Reported as
 // bytes_per_second (the README perf table's MB/s rows; tools/bench_diff.py
-// --doc renders them from the committed JSON). In-memory on purpose — disk
-// speed is the machine's business, the format's cost is ours.
+// --doc renders them from the committed JSON). Save and Load are in-memory
+// on purpose — disk speed is the machine's business, the format's cost is
+// ours; LoadFile adds the file read from a page-cached file, the path every
+// real load takes.
 
-/// One saturated, heap-built sketch reused by both snapshot families.
+/// One saturated, heap-built sketch reused by the snapshot families.
 const SubsampleSketch& snapshot_bench_sketch() {
   static const SubsampleSketch sketch = [] {
     SketchParams params;
@@ -758,6 +760,31 @@ void BM_SnapshotLoad(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * image.size()));
 }
 BENCHMARK(BM_SnapshotLoad);
+
+void BM_SnapshotLoadFile(benchmark::State& state) {
+  const SubsampleSketch& sketch = snapshot_bench_sketch();
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string path = std::string(tmp != nullptr ? tmp : "/tmp") +
+                           "/covstream_snapshot_bench.snap";
+  std::string error;
+  if (!save_snapshot(sketch, path, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const std::size_t file_bytes = std::filesystem::file_size(path);
+  for (auto _ : state) {
+    auto loaded = load_snapshot<SubsampleSketch>(path, &error);
+    if (!loaded) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(loaded->stored_edges());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * file_bytes));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_SnapshotLoadFile);
 
 }  // namespace
 }  // namespace covstream

@@ -1,22 +1,22 @@
 #include "sketch/substrate/snapshot.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
+#include <new>
 
 #include "util/fault_injection.hpp"
 
 namespace covstream {
 namespace {
 
-constexpr std::size_t kHeaderBytes = 32;
-constexpr std::size_t kChecksumBytes = 8;
+constexpr std::size_t kHeaderBytes = SnapshotWriter::kHeaderBytes;
+constexpr std::size_t kChecksumBytes = SnapshotWriter::kChecksumBytes;
 constexpr std::size_t kSectionHeaderBytes = 12;  // u32 tag + u64 length
 
 std::uint64_t read_u64(const std::uint8_t* p) {
@@ -31,22 +31,85 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   return v;
 }
 
+// XXH64's primes (docs/FORMATS.md §1).
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+// One lane step. The rotate sits between the two multiplies so a flipped top
+// bit cannot cancel against a second flip in the same lane: without it,
+// (x ^ 2^63) * P == x * P ^ 2^63 carries the flip through unchanged.
+std::uint64_t checksum_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t checksum_merge(std::uint64_t hash, std::uint64_t lane) {
+  return (hash ^ checksum_round(0, lane)) * kPrime1 + kPrime4;
+}
+
 }  // namespace
 
 std::uint64_t snapshot_checksum(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;  // FNV prime
+  // Words are read with memcpy, i.e. little-endian on the only hosts the
+  // frame accepts (the endianness marker is checked before the checksum).
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = p + bytes.size();
+  std::uint64_t hash;
+  if (bytes.size() >= 32) {
+    std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+    for (; end - p >= 32; p += 32) {
+      lane[0] = checksum_round(lane[0], read_u64(p));
+      lane[1] = checksum_round(lane[1], read_u64(p + 8));
+      lane[2] = checksum_round(lane[2], read_u64(p + 16));
+      lane[3] = checksum_round(lane[3], read_u64(p + 24));
+    }
+    hash = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+           std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+    for (const std::uint64_t v : lane) hash = checksum_merge(hash, v);
+  } else {
+    hash = kPrime5;
   }
+  hash += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    hash ^= checksum_round(0, read_u64(p));
+    hash = std::rotl(hash, 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    hash ^= std::uint64_t{read_u32(p)} * kPrime1;
+    hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    hash ^= std::uint64_t{*p} * kPrime5;
+    hash = std::rotl(hash, 11) * kPrime1;
+  }
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
   return hash;
 }
 
 // ------------------------------------------------------------------ writer ----
 
+SnapshotWriter::SnapshotWriter(SnapshotType type) : type_(type) { grow(0); }
+
+void SnapshotWriter::grow(std::size_t len) {
+  const std::size_t want =
+      std::max({std::size_t{4096}, 2 * capacity_, size_ + len + kChecksumBytes});
+  auto* grown = static_cast<std::uint8_t*>(std::realloc(buffer_.get(), want));
+  if (grown == nullptr) throw std::bad_alloc();
+  (void)buffer_.release();  // realloc freed or reused the old block
+  buffer_.reset(grown);
+  capacity_ = want;
+}
+
 void SnapshotWriter::begin_section(std::uint32_t tag) {
   u32(tag);
-  open_sections_.push_back(payload_.size());
+  open_sections_.push_back(size_);
   u64(0);  // length, patched by end_section()
 }
 
@@ -54,38 +117,44 @@ void SnapshotWriter::end_section() {
   COVSTREAM_CHECK(!open_sections_.empty());
   const std::size_t at = open_sections_.back();
   open_sections_.pop_back();
-  const std::uint64_t length = payload_.size() - (at + sizeof(std::uint64_t));
-  std::memcpy(payload_.data() + at, &length, sizeof length);
+  const std::uint64_t length = size_ - (at + sizeof(std::uint64_t));
+  std::memcpy(buffer_.get() + at, &length, sizeof length);
 }
 
-std::vector<std::uint8_t> SnapshotWriter::finish() const {
-  COVSTREAM_CHECK(open_sections_.empty());
-  std::vector<std::uint8_t> image(kHeaderBytes + payload_.size() +
-                                  kChecksumBytes);
-  const auto put_u32 = [&image](std::size_t at, std::uint32_t v) {
-    std::memcpy(image.data() + at, &v, sizeof v);
+void SnapshotWriter::put_header(std::uint8_t* image) const {
+  const auto put_u32 = [image](std::size_t at, std::uint32_t v) {
+    std::memcpy(image + at, &v, sizeof v);
   };
-  const auto put_u64 = [&image](std::size_t at, std::uint64_t v) {
-    std::memcpy(image.data() + at, &v, sizeof v);
-  };
-  std::memcpy(image.data(), kSnapshotMagic, sizeof kSnapshotMagic);
+  const std::uint64_t payload_len = size_ - kHeaderBytes;
+  std::memcpy(image, kSnapshotMagic, sizeof kSnapshotMagic);
   put_u32(8, kSnapshotVersion);
   put_u32(12, kSnapshotEndianMarker);
   put_u32(16, static_cast<std::uint32_t>(type_));
   put_u32(20, 0);  // reserved
-  put_u64(24, payload_.size());
-  if (!payload_.empty()) {
-    std::memcpy(image.data() + kHeaderBytes, payload_.data(), payload_.size());
-  }
-  put_u64(kHeaderBytes + payload_.size(),
-          snapshot_checksum(std::span<const std::uint8_t>(
-              image.data(), kHeaderBytes + payload_.size())));
+  std::memcpy(image + 24, &payload_len, sizeof payload_len);
+}
+
+std::vector<std::uint8_t> SnapshotWriter::finish() const {
+  COVSTREAM_CHECK(open_sections_.empty());
+  std::vector<std::uint8_t> image(size_ + kChecksumBytes);
+  std::memcpy(image.data() + kHeaderBytes, buffer_.get() + kHeaderBytes,
+              size_ - kHeaderBytes);
+  put_header(image.data());
+  const std::uint64_t checksum =
+      snapshot_checksum(std::span<const std::uint8_t>(image.data(), size_));
+  std::memcpy(image.data() + size_, &checksum, sizeof checksum);
   return image;
 }
 
-bool SnapshotWriter::write_file(const std::string& path,
-                                std::string* error) const {
-  const std::vector<std::uint8_t> image = finish();
+bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
+  COVSTREAM_CHECK(open_sections_.empty());
+  put_header(buffer_.get());
+  const std::uint64_t checksum =
+      snapshot_checksum(std::span<const std::uint8_t>(buffer_.get(), size_));
+  std::memcpy(buffer_.get() + size_, &checksum, sizeof checksum);
+  // The framed image, in place: raw() always leaves room for the trailer.
+  const std::span<const std::uint8_t> image(buffer_.get(),
+                                            size_ + kChecksumBytes);
   // Unique temp name per write: concurrent writers to one destination (the
   // serve REPL's `save` racing a periodic checkpoint) must not truncate
   // each other's half-written temp and publish a torn image — whichever
@@ -231,24 +300,49 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> image)
   }
   cursor_ = kHeaderBytes;
   limit_ = image_.size() - kChecksumBytes;
+  scope_end_ = limit_;
 }
 
 SnapshotReader SnapshotReader::from_file(const std::string& path) {
   std::vector<std::uint8_t> image;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file != nullptr) {
-    std::uint8_t block[1 << 16];
-    for (;;) {
-      const std::size_t got = std::fread(block, 1, sizeof block, file);
-      if (got == 0) break;
-      image.insert(image.end(), block, block + got);
+  const auto refuse = [&image](std::string message) {
+    SnapshotReader reader(std::move(image));
+    reader.error_ = std::move(message);
+    return reader;
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return refuse("cannot open snapshot " + path);
+  // Sized once from fstat; the spare byte lets the read that fills the
+  // image be followed by the one that returns end of file. A file that grew
+  // since the fstat just keeps the loop going.
+  struct stat st {};
+  const std::size_t expected =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  image.resize(expected + 1);
+  std::size_t got = 0;
+  int read_errno = 0;
+  for (;;) {
+    if (got == image.size()) image.resize(2 * image.size());
+    const ::ssize_t n = ::read(fd, image.data() + got, image.size() - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      read_errno = errno;
+      break;
     }
-    std::fclose(file);
-    return SnapshotReader(std::move(image));
   }
-  SnapshotReader reader(std::move(image));
-  reader.error_ = "cannot open snapshot " + path;
-  return reader;
+  ::close(fd);
+  if (read_errno != 0) {
+    image.clear();
+    return refuse("cannot read snapshot " + path + " (" +
+                  std::strerror(read_errno) + ")");
+  }
+  image.resize(got);
+  return SnapshotReader(std::move(image));
 }
 
 bool SnapshotReader::fail(const std::string& message) {
@@ -257,35 +351,11 @@ bool SnapshotReader::fail(const std::string& message) {
   return false;
 }
 
-bool SnapshotReader::need(std::size_t len) {
+bool SnapshotReader::overrun() {
   if (!ok()) return false;
-  const std::size_t scope =
-      section_limits_.empty() ? limit_ : section_limits_.back();
-  if (cursor_ + len > scope) {
-    return fail("snapshot truncated: read past " +
-                std::string(section_limits_.empty() ? "payload" : "section") +
-                " end");
-  }
-  return true;
-}
-
-std::uint8_t SnapshotReader::u8() {
-  if (!need(1)) return 0;
-  return image_[cursor_++];
-}
-
-std::uint32_t SnapshotReader::u32() {
-  if (!need(4)) return 0;
-  const std::uint32_t v = read_u32(image_.data() + cursor_);
-  cursor_ += 4;
-  return v;
-}
-
-std::uint64_t SnapshotReader::u64() {
-  if (!need(8)) return 0;
-  const std::uint64_t v = read_u64(image_.data() + cursor_);
-  cursor_ += 8;
-  return v;
+  return fail("snapshot truncated: read past " +
+              std::string(section_limits_.empty() ? "payload" : "section") +
+              " end");
 }
 
 bool SnapshotReader::bytes(void* out, std::size_t len) {
@@ -345,12 +415,11 @@ bool SnapshotReader::begin_section(std::uint32_t expected_tag) {
                           static_cast<char>((expected_tag >> 24) & 0xFF), '\0'};
     return fail(std::string("section tag mismatch: expected '") + want + "'");
   }
-  const std::size_t scope =
-      section_limits_.empty() ? limit_ : section_limits_.back();
-  if (length > scope - cursor_) {
+  if (length > scope_end_ - cursor_) {
     return fail("section length overruns its enclosing scope");
   }
-  section_limits_.push_back(cursor_ + static_cast<std::size_t>(length));
+  scope_end_ = cursor_ + static_cast<std::size_t>(length);
+  section_limits_.push_back(scope_end_);
   return true;
 }
 
@@ -359,6 +428,7 @@ bool SnapshotReader::end_section() {
   COVSTREAM_CHECK(!section_limits_.empty());
   const std::size_t expected_end = section_limits_.back();
   section_limits_.pop_back();
+  scope_end_ = section_limits_.empty() ? limit_ : section_limits_.back();
   if (cursor_ != expected_end) {
     return fail("section not fully consumed: trailing bytes");
   }

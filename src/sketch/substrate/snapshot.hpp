@@ -4,18 +4,20 @@
 // the point of the paper), so a crash-recovery story of "persist the sketch,
 // not the stream" is cheap: a snapshot is one little-endian file with a fixed
 // 32-byte header (magic, format version, endianness marker, object type,
-// payload length), a payload of tagged sections, and a trailing FNV-1a
-// checksum over everything before it. docs/FORMATS.md is the normative spec;
-// this header is the only implementation of it.
+// payload length), a payload of tagged sections, and a trailing 64-bit
+// checksum over everything before it (XXH64, seed 0: four multiply-rotate
+// lanes over 8-byte words). docs/FORMATS.md is the normative spec; this
+// header is the only implementation of it.
 //
-// Writers buffer the payload in memory and assemble the framed file in
-// finish()/write_file(); readers slurp the whole file, verify the frame
-// (magic -> version -> endianness -> type -> length -> checksum, in that
-// order, so the error names the outermost mismatch), and then hand out
-// bounds-checked reads. Any overrun, section mismatch, or invariant failure
-// poisons the reader: reads return zero, ok() goes false, and error() holds
-// the first failure — load functions check ok() once at the end instead of
-// after every field.
+// Writers append the payload with memcpy into one buffer whose first 32
+// bytes are reserved for the header, so write_file() frames and checksums
+// that buffer in place (finish() returns a framed copy); readers load the
+// whole file with one sized read, verify the frame (magic -> version ->
+// endianness -> type -> length -> checksum, in that order, so the error names
+// the outermost mismatch), and then hand out bounds-checked reads. Any
+// overrun, section mismatch, or invariant failure poisons the reader: reads
+// return zero, ok() goes false, and error() holds the first failure — load
+// functions check ok() once at the end instead of after every field.
 //
 // Round trips are bit-for-bit: save() serializes the complete query-relevant
 // state (including incremental space counters and container geometry), so
@@ -25,7 +27,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,7 +42,7 @@ namespace covstream {
 /// Format-wide constants (docs/FORMATS.md §1). Bump kSnapshotVersion on any
 /// layout change; readers reject every version they were not built for.
 inline constexpr char kSnapshotMagic[8] = {'C', 'V', 'S', 'N', 'A', 'P', '0', '1'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kSnapshotEndianMarker = 0x0A0B0C0Du;
 
 /// Top-level object tags (docs/FORMATS.md §2). One per snapshottable type.
@@ -62,7 +66,9 @@ constexpr std::uint32_t snapshot_tag(char a, char b, char c, char d) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-/// 64-bit FNV-1a over a byte range — the snapshot trailer checksum.
+/// The snapshot trailer checksum (docs/FORMATS.md §1): XXH64 with seed 0 —
+/// four multiply-rotate lanes over 8-byte little-endian words, then a word,
+/// half-word and byte tail and a final avalanche.
 std::uint64_t snapshot_checksum(std::span<const std::uint8_t> bytes);
 
 /// Accumulates one snapshot payload in memory; finish() frames it with the
@@ -70,9 +76,9 @@ std::uint64_t snapshot_checksum(std::span<const std::uint8_t> bytes);
 /// IEEE-754 bit pattern written as u64 (docs/FORMATS.md §1).
 class SnapshotWriter {
  public:
-  explicit SnapshotWriter(SnapshotType type) : type_(type) {}
+  explicit SnapshotWriter(SnapshotType type);
 
-  void u8(std::uint8_t v) { payload_.push_back(v); }
+  void u8(std::uint8_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -101,19 +107,41 @@ class SnapshotWriter {
   /// sections may remain.
   std::vector<std::uint8_t> finish() const;
 
-  /// finish() straight to a file. False (with *error set when non-null) on
-  /// I/O failure; the file is written via a temp-and-rename so a crash never
-  /// leaves a torn snapshot at `path`.
-  bool write_file(const std::string& path, std::string* error = nullptr) const;
+  /// Writes the finish() image to a file, framing the buffer in place (the
+  /// header into its reserved bytes, the checksum into the slack after the
+  /// payload) instead of copying it. False (with *error set when non-null)
+  /// on I/O failure; the file is written via a temp-and-rename so a crash
+  /// never leaves a torn snapshot at `path`.
+  bool write_file(const std::string& path, std::string* error = nullptr);
+
+  /// Frame sizes (docs/FORMATS.md §1): the header before the payload and
+  /// the checksum trailer after it.
+  static constexpr std::size_t kHeaderBytes = 32;
+  static constexpr std::size_t kChecksumBytes = 8;
 
  private:
+  // Keeps kChecksumBytes of slack past the payload so write_file() can place
+  // the trailer without growing the buffer.
   void raw(const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    payload_.insert(payload_.end(), p, p + len);
+    if (len + kChecksumBytes > capacity_ - size_) grow(len);
+    // len == 0 is skipped: `data` may be an empty vector's null data().
+    if (len > 0) std::memcpy(buffer_.get() + size_, data, len);
+    size_ += len;
   }
+  void grow(std::size_t len);
+  /// Writes the header into the reserved first kHeaderBytes of `image`.
+  void put_header(std::uint8_t* image) const;
+
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
 
   SnapshotType type_;
-  std::vector<std::uint8_t> payload_;
+  // [0, kHeaderBytes) reserved for the header, then the payload; malloc'd so
+  // grow() can realloc (large blocks move by remapping, not copying).
+  std::unique_ptr<std::uint8_t, FreeDeleter> buffer_;
+  std::size_t size_ = kHeaderBytes;
+  std::size_t capacity_ = 0;
   std::vector<std::size_t> open_sections_;  // offsets of length fields
 };
 
@@ -138,9 +166,12 @@ class SnapshotReader {
   /// Always returns false so loaders can `return reader.fail(...)`-style.
   bool fail(const std::string& message);
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() {
+    if (!need(1)) return 0;
+    return image_[cursor_++];
+  }
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
   bool bytes(void* out, std::size_t len);
 
@@ -163,20 +194,31 @@ class SnapshotReader {
   /// payload). Loaders use it to reject file-supplied counts BEFORE
   /// allocating: a forged count must fail the reader, not trigger a huge
   /// resize or an overflowing multiplication.
-  std::size_t remaining() const {
-    if (!ok()) return 0;
-    const std::size_t scope =
-        section_limits_.empty() ? limit_ : section_limits_.back();
-    return scope - cursor_;
-  }
+  std::size_t remaining() const { return ok() ? scope_end_ - cursor_ : 0; }
 
  private:
-  bool need(std::size_t len);
+  /// Bounds check for the next `len` bytes. The in-scope case is inline;
+  /// overrun() fails the reader (or reports its earlier failure).
+  bool need(std::size_t len) {
+    if (ok() && len <= scope_end_ - cursor_) return true;
+    return overrun();
+  }
+  bool overrun();
+
+  template <typename T>
+  T fixed() {
+    if (!need(sizeof(T))) return 0;
+    T v;
+    std::memcpy(&v, image_.data() + cursor_, sizeof v);
+    cursor_ += sizeof v;
+    return v;
+  }
 
   std::vector<std::uint8_t> image_;
   SnapshotType type_{};
   std::size_t cursor_ = 0;
-  std::size_t limit_ = 0;  // payload end (checksum excluded)
+  std::size_t limit_ = 0;      // payload end (checksum excluded)
+  std::size_t scope_end_ = 0;  // innermost open section's end, else limit_
   std::vector<std::size_t> section_limits_;
   std::string error_;
 };

@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/streaming_kcover.hpp"
@@ -168,46 +170,114 @@ TEST_F(FleetPersistenceTest, NeverFlushedTenantComesBackEmpty) {
   EXPECT_EQ(*estimate, 0.0) << "an unflushed tenant's durable state is empty";
 }
 
+/// Overwrites `size` bytes of `path` at `offset` with `patch(old bytes)`.
+template <typename Patch>
+void patch_file(const fs::path& path, std::streamoff offset, std::size_t size,
+                Patch patch) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.is_open()) << path;
+  std::vector<char> bytes(size);
+  file.seekg(offset);
+  ASSERT_TRUE(file.read(bytes.data(), static_cast<std::streamsize>(size)))
+      << path;
+  patch(bytes);
+  file.seekp(offset);
+  file.write(bytes.data(), static_cast<std::streamsize>(size));
+  ASSERT_TRUE(file.good()) << path;
+}
+
+/// Sets a snapshot file's format-version field (bytes 8-11) to 1, as a file
+/// written by a version-1 build carries it.
+void patch_version_to_1(const fs::path& path) {
+  patch_file(path, 8, 4, [](std::vector<char>& bytes) {
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data(), &v1, sizeof v1);
+  });
+}
+
 TEST_F(FleetPersistenceTest, CorruptSpillFileIsQuarantinedNotFatal) {
+  // Two corruptions of one spill file: a flipped payload byte (the checksum
+  // catches it) and a version field of 1 (a file the previous format
+  // version wrote; refused before its checksum is read).
+  const std::pair<const char*, void (*)(const fs::path&)> corruptions[] = {
+      {"payload byte flipped",
+       [](const fs::path& victim) {
+         patch_file(victim, 100, 1, [](std::vector<char>& bytes) {
+           bytes[0] = static_cast<char>(bytes[0] ^ 0xFF);
+         });
+       }},
+      {"version field set to 1", patch_version_to_1},
+  };
+  for (const auto& [what, corrupt] : corruptions) {
+    SCOPED_TRACE(what);
+    fs::remove_all(dir_);
+    std::string error;
+    {
+      SketchFleet fleet(persistent_options());
+      ASSERT_TRUE(fleet.create("alpha", fleet_params(), &error)) << error;
+      ASSERT_TRUE(fleet.create("beta", fleet_params(), &error)) << error;
+      ASSERT_TRUE(fleet.ingest("alpha", make_edges(3000, 0xD4), &error))
+          << error;
+      ASSERT_TRUE(fleet.ingest("beta", make_edges(3000, 0xE5), &error))
+          << error;
+      ASSERT_TRUE(fleet.flush_all(nullptr, &error)) << error;
+    }
+    const fs::path victim = dir_ / "alpha.spill.snap";
+    corrupt(victim);
+
+    SketchFleet rebooted(persistent_options());
+    EXPECT_EQ(rebooted.boot_report().restored, 1u);
+    EXPECT_EQ(rebooted.boot_report().quarantined, 1u);
+    EXPECT_EQ(rebooted.tenant_names(), (std::vector<std::string>{"beta"}));
+    EXPECT_EQ(rebooted.stats().quarantined, 1u);
+    // Quarantine sets aside, never deletes.
+    EXPECT_FALSE(fs::exists(victim));
+    EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "alpha.spill.snap"));
+    // Beta still answers.
+    EXPECT_TRUE(rebooted.estimate("beta", std::vector<SetId>{1}, &error)
+                    .has_value())
+        << error;
+
+    // The post-scan manifest rewrite means the dropped tenant stays dropped:
+    // a second reboot is clean.
+    SketchFleet again(persistent_options());
+    EXPECT_EQ(again.boot_report().restored, 1u);
+    EXPECT_EQ(again.boot_report().quarantined, 0u);
+  }
+}
+
+TEST_F(FleetPersistenceTest, VersionOnePersistDirBootsWithFilesQuarantined) {
+  // A persist dir whose every file — manifest and spill files — carries
+  // format version 1, as one written by a version-1 build does: the fleet
+  // boots empty, with every file set aside (never deleted), and serves.
   std::string error;
   {
     SketchFleet fleet(persistent_options());
     ASSERT_TRUE(fleet.create("alpha", fleet_params(), &error)) << error;
     ASSERT_TRUE(fleet.create("beta", fleet_params(), &error)) << error;
-    ASSERT_TRUE(fleet.ingest("alpha", make_edges(3000, 0xD4), &error)) << error;
-    ASSERT_TRUE(fleet.ingest("beta", make_edges(3000, 0xE5), &error)) << error;
+    ASSERT_TRUE(fleet.ingest("alpha", make_edges(3000, 0x1A), &error)) << error;
+    ASSERT_TRUE(fleet.ingest("beta", make_edges(3000, 0x1B), &error)) << error;
     ASSERT_TRUE(fleet.flush_all(nullptr, &error)) << error;
   }
-  // Flip one payload byte: the checksum catches it at the boot probe.
-  const fs::path victim = dir_ / "alpha.spill.snap";
-  {
-    std::fstream file(victim, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.is_open());
-    file.seekg(100);
-    const int byte = file.get();
-    ASSERT_NE(byte, EOF);
-    file.seekp(100);
-    file.put(static_cast<char>(byte ^ 0xFF));
+  std::vector<std::string> written;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+    if (!entry.is_regular_file()) continue;
+    written.push_back(entry.path().filename().string());
+    patch_version_to_1(entry.path());
   }
+  ASSERT_EQ(written.size(), 3u) << "manifest + two spill files";
 
   SketchFleet rebooted(persistent_options());
-  EXPECT_EQ(rebooted.boot_report().restored, 1u);
-  EXPECT_EQ(rebooted.boot_report().quarantined, 1u);
-  EXPECT_EQ(rebooted.tenant_names(), (std::vector<std::string>{"beta"}));
-  EXPECT_EQ(rebooted.stats().quarantined, 1u);
-  // Quarantine sets aside, never deletes.
-  EXPECT_FALSE(fs::exists(victim));
-  EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "alpha.spill.snap"));
-  // Beta still answers.
-  EXPECT_TRUE(rebooted.estimate("beta", std::vector<SetId>{1}, &error)
+  EXPECT_EQ(rebooted.boot_report().restored, 0u);
+  EXPECT_EQ(rebooted.boot_report().quarantined, 3u);
+  EXPECT_TRUE(rebooted.tenant_names().empty());
+  for (const std::string& name : written) {
+    EXPECT_TRUE(fs::exists(dir_ / "quarantine" / name)) << name;
+  }
+  ASSERT_TRUE(rebooted.create("alpha", fleet_params(), &error)) << error;
+  EXPECT_TRUE(rebooted.estimate("alpha", std::vector<SetId>{1}, &error)
                   .has_value())
       << error;
-
-  // The post-scan manifest rewrite means the dropped tenant stays dropped:
-  // a second reboot is clean.
-  SketchFleet again(persistent_options());
-  EXPECT_EQ(again.boot_report().restored, 1u);
-  EXPECT_EQ(again.boot_report().quarantined, 0u);
 }
 
 TEST_F(FleetPersistenceTest, OrphanSpillFileIsQuarantined) {

@@ -74,7 +74,7 @@ class SnapshotFaultTest : public testing::Test {
 
 TEST_F(SnapshotFaultTest, EnospcFailsWithoutLeavingTemp) {
   ASSERT_TRUE(FaultInjector::instance().configure("snapshot.write=enospc"));
-  const SnapshotWriter writer = multi_chunk_writer(0x5A);
+  SnapshotWriter writer = multi_chunk_writer(0x5A);
   std::string error;
   EXPECT_FALSE(writer.write_file((dir_ / "out.snap").string(), &error));
   EXPECT_NE(error.find("No space left on device"), std::string::npos) << error;
@@ -85,7 +85,7 @@ TEST_F(SnapshotFaultTest, ShortWriteMidFileFailsWithoutLeavingTemp) {
   // Fail the third chunk with a partial write: bytes really land in the temp
   // before the error, so removal (not just close) is what keeps the dir clean.
   ASSERT_TRUE(FaultInjector::instance().configure("snapshot.write=short@3"));
-  const SnapshotWriter writer = multi_chunk_writer(0x5A);
+  SnapshotWriter writer = multi_chunk_writer(0x5A);
   std::string error;
   EXPECT_FALSE(writer.write_file((dir_ / "out.snap").string(), &error));
   EXPECT_NE(error.find("short write"), std::string::npos) << error;
@@ -94,7 +94,7 @@ TEST_F(SnapshotFaultTest, ShortWriteMidFileFailsWithoutLeavingTemp) {
 
 TEST_F(SnapshotFaultTest, FsyncFailureFailsWithoutLeavingTemp) {
   ASSERT_TRUE(FaultInjector::instance().configure("snapshot.fsync=fail"));
-  const SnapshotWriter writer = multi_chunk_writer(0x5A);
+  SnapshotWriter writer = multi_chunk_writer(0x5A);
   std::string error;
   EXPECT_FALSE(writer.write_file((dir_ / "out.snap").string(), &error));
   EXPECT_FALSE(error.empty());
@@ -103,7 +103,7 @@ TEST_F(SnapshotFaultTest, FsyncFailureFailsWithoutLeavingTemp) {
 
 TEST_F(SnapshotFaultTest, RenameFailureFailsWithoutLeavingTemp) {
   ASSERT_TRUE(FaultInjector::instance().configure("snapshot.rename=fail"));
-  const SnapshotWriter writer = multi_chunk_writer(0x5A);
+  SnapshotWriter writer = multi_chunk_writer(0x5A);
   std::string error;
   EXPECT_FALSE(writer.write_file((dir_ / "out.snap").string(), &error));
   EXPECT_NE(error.find("rename"), std::string::npos) << error;

@@ -10,9 +10,13 @@
 // never a crash or a silently wrong sketch.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sketch_ladder.hpp"
@@ -283,18 +287,68 @@ std::vector<std::uint8_t> sample_image() {
 
 TEST(Snapshot, CorruptBytesFailLoudly) {
   const std::vector<std::uint8_t> image = sample_image();
-  // Flip one byte at a spread of offsets: header, early payload, deep
-  // payload, checksum. Every single-byte corruption must be rejected (the
-  // frame checks or the checksum catch it) — and never crash.
-  for (const std::size_t at :
-       {std::size_t{0}, std::size_t{9}, std::size_t{13}, std::size_t{40},
-        image.size() / 2, image.size() - 1}) {
-    std::vector<std::uint8_t> corrupt = image;
-    corrupt[at] ^= 0x40;
-    std::string error;
-    EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(corrupt), &error))
-        << "offset " << at;
-    EXPECT_FALSE(error.empty()) << "offset " << at;
+  // Every single-bit corruption anywhere in the image — header, payload or
+  // checksum — must be rejected (the frame checks or the checksum catch it),
+  // and never crash.
+  for (std::size_t at = 0; at < image.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> corrupt = image;
+      corrupt[at] ^= static_cast<std::uint8_t>(1u << bit);
+      std::string error;
+      ASSERT_FALSE(from_bytes<SubsampleSketch>(std::move(corrupt), &error))
+          << "offset " << at << " bit " << bit;
+      ASSERT_FALSE(error.empty()) << "offset " << at << " bit " << bit;
+    }
+  }
+}
+
+TEST(Snapshot, ChecksumCatchesTopBitPairInOneLane) {
+  // Bit 63 flipped in two words 32 bytes apart: both land in the same lane.
+  // A lane of plain word-wise FNV ((h ^ w) * P) misses this pair, because
+  // (x ^ 2^63) * P == x * P ^ 2^63 carries the first flip unchanged into the
+  // second, which cancels it. The rotate between the multiplies must not.
+  const std::vector<std::uint8_t> image = sample_image();
+  ASSERT_GT(image.size(), 160u);
+  std::vector<std::uint8_t> corrupt = image;
+  corrupt[64 + 7] ^= 0x80;  // bit 63 of the little-endian word at 64
+  corrupt[96 + 7] ^= 0x80;  // and of the word at 96
+  const std::size_t body = image.size() - 8;
+  EXPECT_NE(snapshot_checksum(std::span<const std::uint8_t>(image.data(), body)),
+            snapshot_checksum(
+                std::span<const std::uint8_t>(corrupt.data(), body)));
+  std::string error;
+  EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(corrupt), &error));
+  EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+}
+
+TEST(Snapshot, ChecksumDefinitionIsPinned) {
+  // Format version 2 defines the trailer as XXH64 with seed 0. Published
+  // XXH64 test vectors anchor the definition to the reference algorithm...
+  const auto of_text = [](const char* text) {
+    return snapshot_checksum(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(text), std::strlen(text)));
+  };
+  EXPECT_EQ(of_text(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(of_text("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(of_text("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(of_text("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  // ...and these pin every path: the short-input start (< 32 bytes), the
+  // four lanes, and the word, half-word and byte tails.
+  std::vector<std::uint8_t> bytes(4099);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  const std::pair<std::size_t, std::uint64_t> pinned[] = {
+      {0, 0xEF46DB3751D8E999ULL},    {1, 0xA96C7F0CE858BBB7ULL},
+      {7, 0xAFBEFC3D6C6F9A8EULL},    {31, 0x4A74F3A1A39AD4A1ULL},
+      {32, 0x8D57D6A4671CC43DULL},   {33, 0x62C9FD21ED857664ULL},
+      {4099, 0x98531E44AA4F969DULL},
+  };
+  for (const auto& [len, want] : pinned) {
+    EXPECT_EQ(snapshot_checksum(std::span<const std::uint8_t>(bytes.data(), len)),
+              want)
+        << "length " << len;
   }
 }
 
@@ -312,12 +366,18 @@ TEST(Snapshot, TruncationFailsLoudly) {
 }
 
 TEST(Snapshot, VersionMismatchNamesTheVersion) {
-  std::vector<std::uint8_t> image = sample_image();
-  const std::uint32_t future = kSnapshotVersion + 1;
-  std::memcpy(image.data() + 8, &future, sizeof future);
-  std::string error;
-  EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // A newer writer's file, and a version-1 file (the FNV-1a trailer era):
+  // both are refused at the version check, before the checksum is looked at.
+  for (const std::uint32_t version : {kSnapshotVersion + 1, 1u}) {
+    std::vector<std::uint8_t> image = sample_image();
+    std::memcpy(image.data() + 8, &version, sizeof version);
+    std::string error;
+    EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
+    EXPECT_NE(error.find("unsupported snapshot version " +
+                         std::to_string(version) + " "),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(Snapshot, WrongObjectTypeFails) {
@@ -331,6 +391,18 @@ TEST(Snapshot, MissingFileFails) {
   EXPECT_FALSE(load_snapshot<SubsampleSketch>(
       testing::TempDir() + "does_not_exist.snap", &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(Snapshot, ReadErrorNamesItsErrno) {
+  // A directory opens for reading but every read(2) fails with EISDIR: the
+  // loader must report that error, not mistake it for end of file and call
+  // the image truncated.
+  const SnapshotReader reader = SnapshotReader::from_file(testing::TempDir());
+  EXPECT_FALSE(reader.ok());
+  EXPECT_NE(reader.error().find("cannot read snapshot"), std::string::npos)
+      << reader.error();
+  EXPECT_NE(reader.error().find(std::strerror(EISDIR)), std::string::npos)
+      << reader.error();
 }
 
 TEST(Snapshot, ForgedPayloadWithValidChecksumFails) {

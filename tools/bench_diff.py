@@ -11,6 +11,9 @@ Per benchmark family present in BOTH files, compares ns/op (real_time for
 per-op benchmarks, items_per_second inverted when available) and reports the
 relative change. Exits 1 if any family regressed by more than --threshold
 (default 25%); new or removed families are reported but never fail the run.
+A file run with --benchmark_repetitions=N holds N runs per family: each
+family is compared on its median over them, with its min–max printed beside
+it (single-run files compare as before).
 
 --doc renders the baseline as the README's perf-table rows (markdown, ns per
 item for per-op families, MB/s for byte-throughput families such as the
@@ -34,6 +37,7 @@ rerun with COVSTREAM_ISA set to the baseline's tier instead.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -58,8 +62,26 @@ def check_same_isa(fresh_path, baseline_path):
     return True
 
 
+def load_runs(path):
+    """name -> the benchmark's iteration runs, one per repetition.
+
+    A `--benchmark_repetitions=N` run repeats every name N times; keeping
+    them all (instead of letting a dict keep the last) is what lets the
+    comparison use the median and show the spread. Aggregate rows
+    (mean/median/stddev) are skipped: they are recomputed here.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    runs = {}
+    for bench in data.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate":
+            continue
+        runs.setdefault(bench["name"], []).append(bench)
+    return runs
+
+
 def load_family_times(path):
-    """name -> WALL ns per item.
+    """name -> WALL ns per item, one value per repetition.
 
     google-benchmark's items_per_second divides by CPU time, which
     misreports pool-parallel benchmarks (the driving thread sleeps while
@@ -67,63 +89,63 @@ def load_family_times(path):
     items_per_second * cpu_time, and wall time divided by it; serial
     benchmarks come out identical to 1e9 / items_per_second.
     """
-    with open(path) as fh:
-        data = json.load(fh)
     times = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench["name"]
-        unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
-            bench.get("time_unit", "ns")]
-        real_ns = bench["real_time"] * unit
-        items = bench.get("items_per_second")
-        cpu_ns = bench.get("cpu_time", 0) * unit
-        if items and cpu_ns:
-            items_per_iter = items * cpu_ns * 1e-9
-            times[name] = real_ns / items_per_iter
-        else:
-            times[name] = real_ns
+    for name, runs in load_runs(path).items():
+        for bench in runs:
+            unit = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[
+                bench.get("time_unit", "ns")]
+            real_ns = bench["real_time"] * unit
+            items = bench.get("items_per_second")
+            cpu_ns = bench.get("cpu_time", 0) * unit
+            if items and cpu_ns:
+                real_ns /= items * cpu_ns * 1e-9  # items per iteration
+            times.setdefault(name, []).append(real_ns)
     return times
 
 
 def load_qps(path):
-    """name -> {"qps": req/s, "p50_us":..., "p99_us":...} for the serve
-    benchmarks (bench/serve_qps.cpp), which publish a `qps` counter.
+    """name -> {"qps": [req/s], "p50_us": [...], "p99_us": [...]} (one value
+    per repetition) for the serve benchmarks (bench/serve_qps.cpp), which
+    publish a `qps` counter.
 
     These are a separate family on purpose: direction is inverted (higher
     throughput is better, so a DROP is the regression), and tail latency is
     tracked alongside — a change can hold QPS while blowing up p99, which
     per-op averaging would hide.
     """
-    with open(path) as fh:
-        data = json.load(fh)
     out = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
+    for name, runs in load_runs(path).items():
+        runs = [bench for bench in runs if "qps" in bench]
+        if not runs:
             continue
-        if "qps" not in bench:
-            continue
-        out[bench["name"]] = {
-            "qps": bench["qps"],
-            "p50_us": bench.get("p50_us"),
-            "p99_us": bench.get("p99_us"),
-        }
+        out[name] = {key: [bench[key] for bench in runs
+                           if bench.get(key) is not None]
+                     for key in ("qps", "p50_us", "p99_us")}
     return out
 
 
 def load_byte_rates(path):
-    """name -> MB/s for families that report bytes_per_second."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """name -> MB/s, one value per repetition, for families that report
+    bytes_per_second."""
     rates = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        rate = bench.get("bytes_per_second")
-        if rate:
-            rates[bench["name"]] = rate / 1e6
+    for name, runs in load_runs(path).items():
+        values = [bench["bytes_per_second"] / 1e6 for bench in runs
+                  if bench.get("bytes_per_second")]
+        if values:
+            rates[name] = values
     return rates
+
+
+def median(values):
+    """The median of a family's repetitions; None when it has none."""
+    return statistics.median(values) if values else None
+
+
+def spread(values, fmt):
+    """'min–max' over a family's repetitions, or '' for a single run."""
+    if len(values) < 2:
+        return ""
+    return f"{min(values):{fmt}}–{max(values):{fmt}}"
 
 
 def emit_doc_rows(baseline):
@@ -136,14 +158,36 @@ def emit_doc_rows(baseline):
     for name in sorted(times):
         if name in qps:
             entry = qps[name]
-            p99 = (f", p99 {entry['p99_us']:.1f} µs"
-                   if entry.get("p99_us") is not None else "")
-            print(f"| `{name}` | {entry['qps'] / 1e3:.0f}k req/s{p99} |")
+            p99 = median(entry["p99_us"])
+            p99 = f", p99 {p99:.1f} µs" if p99 is not None else ""
+            print(f"| `{name}` | {median(entry['qps']) / 1e3:.0f}k req/s{p99} |")
         elif name in rates:
-            print(f"| `{name}` | {rates[name]:.0f} MB/s |")
+            print(f"| `{name}` | {median(rates[name]):.0f} MB/s |")
         else:
-            print(f"| `{name}` | {times[name]:.1f} ns/item |")
+            print(f"| `{name}` | {median(times[name]):.1f} ns/item |")
     return 0
+
+
+def print_table(title, rows, fmt):
+    """rows: (name, baseline median, fresh median, (baseline range, fresh
+    range), status). A range column is printed only when some family in the
+    table has repetitions."""
+    if not rows:
+        return
+    width = max(len(r[0]) for r in rows)
+    show_ranges = any(r[3][0] or r[3][1] for r in rows)
+    range_width = max([len(x) for r in rows for x in r[3]] + [len("fresh range")])
+    header = f"{title:<{width}}  {'baseline':>12}  {'fresh':>12}"
+    if show_ranges:
+        header += f"  {'base range':>{range_width}}  {'fresh range':>{range_width}}"
+    print(header + "  status")
+    for name, b, f, ranges, flag in rows:
+        line = (f"{name:<{width}}  "
+                + (f"{b:12{fmt}}" if b is not None else f"{'-':>12}") + "  "
+                + (f"{f:12{fmt}}" if f is not None else f"{'-':>12}"))
+        if show_ranges:
+            line += "".join(f"  {x or '-':>{range_width}}" for x in ranges)
+        print(f"{line}  {flag}")
 
 
 def main():
@@ -179,63 +223,57 @@ def main():
     regressions = []
     rows = []
     for name in sorted(set(fresh) | set(base)):
-        if name not in base:
-            rows.append((name, None, fresh[name], "new"))
+        b = median(base.get(name, []))
+        f = median(fresh.get(name, []))
+        ranges = (spread(base.get(name, []), ".1f"),
+                  spread(fresh.get(name, []), ".1f"))
+        if b is None:
+            rows.append((name, None, f, ranges, "new"))
             continue
-        if name not in fresh:
-            rows.append((name, base[name], None, "removed"))
+        if f is None:
+            rows.append((name, b, None, ranges, "removed"))
             continue
-        ratio = fresh[name] / base[name] - 1.0
+        ratio = f / b - 1.0
         flag = ""
         if ratio > args.threshold:
             flag = "REGRESSION"
             regressions.append((name, ratio))
         elif ratio < -args.threshold:
             flag = "improved"
-        rows.append((name, base[name], fresh[name], flag or f"{ratio:+.1%}"))
-
-    width = max(len(r[0]) for r in rows) if rows else 20
-    print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  status")
-    for name, b, f, flag in rows:
-        bs = f"{b:12.1f}" if b is not None else f"{'-':>12}"
-        fs = f"{f:12.1f}" if f is not None else f"{'-':>12}"
-        print(f"{name:<{width}}  {bs}  {fs}  {flag}")
-    print(f"(ns per item; threshold ±{args.threshold:.0%})")
+        rows.append((name, b, f, ranges, flag or f"{ratio:+.1%}"))
+    print_table("benchmark", rows, ".1f")
+    print(f"(ns per item, median over repetitions; threshold "
+          f"±{args.threshold:.0%})")
 
     qps_rows = []
     for name in sorted(set(fresh_qps) | set(base_qps)):
-        if name not in base_qps:
-            qps_rows.append((name, None, fresh_qps[name]["qps"], "new"))
+        b_runs = base_qps.get(name, {"qps": [], "p99_us": []})
+        f_runs = fresh_qps.get(name, {"qps": [], "p99_us": []})
+        b, f = median(b_runs["qps"]), median(f_runs["qps"])
+        ranges = (spread(b_runs["qps"], ".0f"), spread(f_runs["qps"], ".0f"))
+        if b is None:
+            qps_rows.append((name, None, f, ranges, "new"))
             continue
-        if name not in fresh_qps:
-            qps_rows.append((name, base_qps[name]["qps"], None, "removed"))
+        if f is None:
+            qps_rows.append((name, b, None, ranges, "removed"))
             continue
-        b, f = base_qps[name], fresh_qps[name]
-        drop = 1.0 - f["qps"] / b["qps"]  # higher is better: a drop regresses
+        drop = 1.0 - f / b  # higher is better: a drop regresses
         flags = []
         if drop > args.threshold:
             flags.append("QPS REGRESSION")
             regressions.append((name, -drop))
         elif drop < -args.threshold:
             flags.append("improved")
-        if b.get("p99_us") and f.get("p99_us") and \
-                f["p99_us"] / b["p99_us"] - 1.0 > args.threshold:
-            flags.append(f"P99 REGRESSION ({b['p99_us']:.1f} -> "
-                         f"{f['p99_us']:.1f} µs)")
-            regressions.append((name + " [p99]",
-                                f["p99_us"] / b["p99_us"] - 1.0))
-        qps_rows.append((name, b["qps"], f["qps"],
-                         " ".join(flags) or f"{-drop:+.1%}"))
+        b_p99, f_p99 = median(b_runs["p99_us"]), median(f_runs["p99_us"])
+        if b_p99 and f_p99 and f_p99 / b_p99 - 1.0 > args.threshold:
+            flags.append(f"P99 REGRESSION ({b_p99:.1f} -> {f_p99:.1f} µs)")
+            regressions.append((name + " [p99]", f_p99 / b_p99 - 1.0))
+        qps_rows.append((name, b, f, ranges, " ".join(flags) or f"{-drop:+.1%}"))
     if qps_rows:
-        width = max(len(r[0]) for r in qps_rows)
-        print(f"\n{'serve benchmark':<{width}}  {'baseline':>12}  "
-              f"{'fresh':>12}  status")
-        for name, b, f, flag in qps_rows:
-            bs = f"{b:12.0f}" if b is not None else f"{'-':>12}"
-            fs = f"{f:12.0f}" if f is not None else f"{'-':>12}"
-            print(f"{name:<{width}}  {bs}  {fs}  {flag}")
-        print(f"(requests per second, higher is better; p99 tracked at the "
-              f"same ±{args.threshold:.0%})")
+        print()
+        print_table("serve benchmark", qps_rows, ".0f")
+        print(f"(requests per second, median over repetitions, higher is "
+              f"better; p99 tracked at the same ±{args.threshold:.0%})")
 
     if regressions:
         print(f"\n{len(regressions)} famil{'y' if len(regressions) == 1 else 'ies'} "
