@@ -121,7 +121,9 @@ void SnapshotWriter::end_section() {
   std::memcpy(buffer_.get() + at, &length, sizeof length);
 }
 
-void SnapshotWriter::put_header(std::uint8_t* image) const {
+std::span<const std::uint8_t> SnapshotWriter::frame() {
+  COVSTREAM_CHECK(open_sections_.empty());
+  std::uint8_t* const image = buffer_.get();
   const auto put_u32 = [image](std::size_t at, std::uint32_t v) {
     std::memcpy(image + at, &v, sizeof v);
   };
@@ -132,29 +134,20 @@ void SnapshotWriter::put_header(std::uint8_t* image) const {
   put_u32(16, static_cast<std::uint32_t>(type_));
   put_u32(20, 0);  // reserved
   std::memcpy(image + 24, &payload_len, sizeof payload_len);
+  const std::uint64_t checksum =
+      snapshot_checksum(std::span<const std::uint8_t>(image, size_));
+  // raw() always leaves room for the trailer.
+  std::memcpy(image + size_, &checksum, sizeof checksum);
+  return {image, size_ + kChecksumBytes};
 }
 
-std::vector<std::uint8_t> SnapshotWriter::finish() const {
-  COVSTREAM_CHECK(open_sections_.empty());
-  std::vector<std::uint8_t> image(size_ + kChecksumBytes);
-  std::memcpy(image.data() + kHeaderBytes, buffer_.get() + kHeaderBytes,
-              size_ - kHeaderBytes);
-  put_header(image.data());
-  const std::uint64_t checksum =
-      snapshot_checksum(std::span<const std::uint8_t>(image.data(), size_));
-  std::memcpy(image.data() + size_, &checksum, sizeof checksum);
-  return image;
+std::vector<std::uint8_t> SnapshotWriter::finish() {
+  const std::span<const std::uint8_t> image = frame();
+  return {image.begin(), image.end()};
 }
 
 bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
-  COVSTREAM_CHECK(open_sections_.empty());
-  put_header(buffer_.get());
-  const std::uint64_t checksum =
-      snapshot_checksum(std::span<const std::uint8_t>(buffer_.get(), size_));
-  std::memcpy(buffer_.get() + size_, &checksum, sizeof checksum);
-  // The framed image, in place: raw() always leaves room for the trailer.
-  const std::span<const std::uint8_t> image(buffer_.get(),
-                                            size_ + kChecksumBytes);
+  const std::span<const std::uint8_t> image = frame();
   // Unique temp name per write: concurrent writers to one destination (the
   // serve REPL's `save` racing a periodic checkpoint) must not truncate
   // each other's half-written temp and publish a torn image — whichever
@@ -162,13 +155,7 @@ bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
   static std::atomic<unsigned> temp_counter{0};
   const std::string temp =
       path + ".tmp." + std::to_string(temp_counter.fetch_add(1)) + "." +
-      std::to_string(static_cast<unsigned long>(
-#if defined(__unix__) || defined(__APPLE__)
-          ::getpid()
-#else
-          0
-#endif
-          ));
+      std::to_string(static_cast<unsigned long>(::getpid()));
   FaultInjector& faults = FaultInjector::instance();
   const auto set_error = [error](std::string message) {
     if (error != nullptr) *error = std::move(message);
@@ -208,7 +195,6 @@ bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
       break;
     }
   }
-#if defined(__unix__) || defined(__APPLE__)
   // The data must be durable BEFORE the rename publishes it, or a power
   // loss can commit the rename metadata ahead of the data blocks and leave
   // a torn file at `path` — the exact crash checkpoints exist to survive.
@@ -221,7 +207,6 @@ bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
       if (!wrote) write_errno = errno;
     }
   }
-#endif
   const bool closed = std::fclose(file) == 0;
   if (!wrote || !closed) {
     // Never leak the temp: a failed write must leave the spill dir exactly
@@ -237,7 +222,6 @@ bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
     std::remove(temp.c_str());
     return set_error("cannot rename " + temp + " to " + path);
   }
-#if defined(__unix__)
   // Persist the rename itself (directory entry). A failure here leaves a
   // valid file at `path` that may revert to the previous snapshot after a
   // power loss, so it is reported as a failure — callers that must be
@@ -258,7 +242,6 @@ bool SnapshotWriter::write_file(const std::string& path, std::string* error) {
                      " was renamed into place but the rename may not survive "
                      "a power loss)");
   }
-#endif
   return true;
 }
 

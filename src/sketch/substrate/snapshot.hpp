@@ -10,9 +10,9 @@
 // header is the only implementation of it.
 //
 // Writers append the payload with memcpy into one buffer whose first 32
-// bytes are reserved for the header, so write_file() frames and checksums
-// that buffer in place (finish() returns a framed copy); readers load the
-// whole file with one sized read, verify the frame (magic -> version ->
+// bytes are reserved for the header, so write_file() and finish() frame and
+// checksum that buffer in place (finish() then returns a copy); readers load
+// the whole file with one sized read, verify the frame (magic -> version ->
 // endianness -> type -> length -> checksum, in that order, so the error names
 // the outermost mismatch), and then hand out bounds-checked reads. Any
 // overrun, section mismatch, or invariant failure poisons the reader: reads
@@ -103,15 +103,13 @@ class SnapshotWriter {
   void begin_section(std::uint32_t tag);
   void end_section();
 
-  /// Frames header + payload + checksum into one byte image. No open
-  /// sections may remain.
-  std::vector<std::uint8_t> finish() const;
+  /// Returns a copy of the frame() image (header + payload + checksum).
+  /// No open sections may remain.
+  std::vector<std::uint8_t> finish();
 
-  /// Writes the finish() image to a file, framing the buffer in place (the
-  /// header into its reserved bytes, the checksum into the slack after the
-  /// payload) instead of copying it. False (with *error set when non-null)
-  /// on I/O failure; the file is written via a temp-and-rename so a crash
-  /// never leaves a torn snapshot at `path`.
+  /// Writes the frame() image to a file. False (with *error set when
+  /// non-null) on I/O failure; the file is written via a temp-and-rename so
+  /// a crash never leaves a torn snapshot at `path`.
   bool write_file(const std::string& path, std::string* error = nullptr);
 
   /// Frame sizes (docs/FORMATS.md §1): the header before the payload and
@@ -129,8 +127,10 @@ class SnapshotWriter {
     size_ += len;
   }
   void grow(std::size_t len);
-  /// Writes the header into the reserved first kHeaderBytes of `image`.
-  void put_header(std::uint8_t* image) const;
+  /// Frames the buffer in place: the header into its reserved first
+  /// kHeaderBytes, the checksum into the slack after the payload. Returns
+  /// the framed image; no open sections may remain.
+  std::span<const std::uint8_t> frame();
 
   struct FreeDeleter {
     void operator()(std::uint8_t* p) const { std::free(p); }
